@@ -226,11 +226,13 @@ def run_throughput(
                     import time as _time
 
                     engine = AsyncEngine(session, workers=streams)
-                    wall_start = _time.perf_counter()
-                    engine.submit_all(workload)
-                    drained = engine.drain(timeout=drain_timeout_s)
-                    wall_ms = (_time.perf_counter() - wall_start) * 1e3
-                    engine.shutdown(drain=False, timeout=10.0)
+                    try:
+                        wall_start = _time.perf_counter()
+                        engine.submit_all(workload)
+                        drained = engine.drain(timeout=drain_timeout_s)
+                        wall_ms = (_time.perf_counter() - wall_start) * 1e3
+                    finally:
+                        engine.shutdown(drain=False, timeout=10.0)
                     if not drained:
                         sweep.add(Measurement(
                             f"{streams}-workers", scale_factor, None,

@@ -23,6 +23,8 @@ import math
 import threading
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -90,26 +92,31 @@ class CostCoefficients:
 
 class _Ring:
     """A capped sample buffer: appends wrap around once full, so the fit
-    always sees the most recent window without unbounded growth."""
+    always sees the most recent window without unbounded growth.
 
-    __slots__ = ("capacity", "samples", "_next", "seen")
+    Samples live in one preallocated float64 array rather than as
+    Python tuples, so a full ring costs 16 bytes per sample."""
+
+    __slots__ = ("capacity", "_data", "seen")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.samples: list[tuple[float, float]] = []
-        self._next = 0
+        self._data = np.empty((capacity, 2))
         self.seen = 0
 
-    def add(self, sample: tuple[float, float]) -> None:
+    def add(self, x: float, y: float) -> None:
+        row = self._data[self.seen % self.capacity]
+        row[0] = x
+        row[1] = y
         self.seen += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(sample)
-            return
-        self.samples[self._next] = sample
-        self._next = (self._next + 1) % self.capacity
+
+    @property
+    def samples(self) -> list[list[float]]:
+        """The held ``[x, y]`` samples in slot order."""
+        return self._data[: len(self)].tolist()
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return min(self.seen, self.capacity)
 
 
 class Calibrator:
@@ -149,19 +156,19 @@ class Calibrator:
     def record_kernel(self, elements: int, work: float, time_ns: float) -> None:
         iterations = math.ceil(elements / self.threads) if elements > 0 else 0
         with self._lock:
-            self._kernels.add((iterations * work, time_ns))
+            self._kernels.add(iterations * work, time_ns)
 
     def record_transfer(self, nbytes: int, time_ns: float) -> None:
         if nbytes <= 0:
             return
         with self._lock:
-            self._transfers.add((float(nbytes), time_ns))
+            self._transfers.add(float(nbytes), time_ns)
 
     def record_materialize(self, nbytes: int, time_ns: float) -> None:
         if nbytes <= 0:
             return
         with self._lock:
-            self._materializes.add((float(nbytes), time_ns))
+            self._materializes.add(float(nbytes), time_ns)
 
     # -- inspection -----------------------------------------------------
 
@@ -195,9 +202,9 @@ class Calibrator:
         are then unidentifiable), no new coefficient set is issued.
         """
         with self._lock:
-            kernel_samples = list(self._kernels.samples)
-            transfer_samples = list(self._transfers.samples)
-            materialize_samples = list(self._materializes.samples)
+            kernel_samples = self._kernels.samples
+            transfer_samples = self._transfers.samples
+            materialize_samples = self._materializes.samples
         if len(kernel_samples) < min_samples:
             return None
         n = float(len(kernel_samples))

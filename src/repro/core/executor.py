@@ -32,7 +32,7 @@ from .fusion import (
     FusionTuner,
     plan_fingerprint,
 )
-from .runtime import Runtime, SubqueryProgram
+from .runtime import NodeRecord, Runtime, SubqueryProgram, SubqueryRecord
 from .subquery import AdaptiveGovernor, AdaptiveSwitch
 
 
@@ -44,7 +44,7 @@ def _sql_snippet(sql: str, limit: int = 120) -> str:
     return flat
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """The outcome of one query execution."""
 
@@ -53,21 +53,18 @@ class QueryResult:
     stats: ExecutionStats
     plan_choice: str  # 'nested' | 'unnested' | 'flat'
     drive_source: str
-    node_times_ns: dict[int, float] = field(default_factory=dict)
-    node_output_rows: dict[int, int] = field(default_factory=dict)
+    # observability (filled by run_prepared; cheap to collect always):
+    # one record per plan node whose operator ran, in the order the
+    # nodes first completed, and one per subquery, keyed by
+    # descriptor index
+    nodes: list[NodeRecord] = field(default_factory=list)
+    subqueries: dict[int, SubqueryRecord] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
     predicted_ms: float | None = None
-    # observability (filled by run_prepared; cheap to collect always)
-    node_calls: dict[int, int] = field(default_factory=dict)
-    node_launches: dict[int, int] = field(default_factory=dict)
     # vectorized-path per-node exclusive ns, keyed by id(plan node)
     # (only populated when tracing/analyzing; see obs.analyze)
     vector_node_ns: dict[int, float] = field(default_factory=dict)
-    subquery_iterations: dict[int, int] = field(default_factory=dict)
-    subquery_batches: dict[int, int] = field(default_factory=dict)
-    subquery_overhead_ns: dict[int, float] = field(default_factory=dict)
-    subquery_cache: dict[int, tuple[int, int]] = field(default_factory=dict)
     preload_ns: float = 0.0
     fetch_ns: float = 0.0
     index_probes: int = 0
@@ -91,6 +88,23 @@ class QueryResult:
     def total_ms(self) -> float:
         """Modelled device time in milliseconds (the reported metric)."""
         return self.stats.total_ms
+
+    def node(self, node_id: int) -> NodeRecord | None:
+        """The record of registry node ``node_id``; None if it never ran."""
+        for record in self.nodes:
+            if record.node_id == node_id:
+                return record
+        return None
+
+    @property
+    def subquery_iterations(self) -> dict[int, int]:
+        """Outer tuples evaluated, per subquery descriptor index."""
+        return {key: r.iterations for key, r in self.subqueries.items()}
+
+    @property
+    def subquery_batches(self) -> dict[int, int]:
+        """Vectorized batches run, per subquery descriptor index."""
+        return {key: r.batches for key, r in self.subqueries.items()}
 
     @property
     def num_rows(self) -> int:
@@ -341,29 +355,19 @@ class NestGPU:
             if execute_span is not None:
                 tracer.end(execute_span)
         rows = rel.decode_rows()
-        cache_hits = sum(sp.cache.hits for sp in runtime.subprograms)
-        cache_misses = sum(sp.cache.misses for sp in runtime.subprograms)
+        subqueries = runtime.subquery_accounting()
         result = QueryResult(
             rows=rows,
             column_names=list(rel.columns),
             stats=device.snapshot(),
             plan_choice=effective.choice,
             drive_source=effective.program.source,
-            node_times_ns=dict(runtime.node_times_ns),
-            node_output_rows=dict(runtime.node_output_rows),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            nodes=list(runtime.node_records.values()),
+            subqueries=subqueries,
+            cache_hits=sum(r.cache_hits for r in subqueries.values()),
+            cache_misses=sum(r.cache_misses for r in subqueries.values()),
             predicted_ms=prepared.predicted_ms,
-            node_calls=dict(runtime.node_calls),
-            node_launches=dict(runtime.node_launches),
             vector_node_ns=dict(ctx.profile_node_ns or {}),
-            subquery_iterations=dict(runtime.subquery_iterations),
-            subquery_batches=dict(runtime.subquery_batches),
-            subquery_overhead_ns=dict(runtime.subquery_overhead_ns),
-            subquery_cache={
-                sp.descriptor.index: (sp.cache.hits, sp.cache.misses)
-                for sp in runtime.subprograms
-            },
             preload_ns=preload_ns,
             fetch_ns=runtime.fetch_ns,
             index_probes=ctx.index_probes - before_probes,
@@ -445,10 +449,10 @@ class NestGPU:
                 result.cache_hits / probes
             )
         metrics.counter("subquery.iterations").inc(
-            sum(result.subquery_iterations.values())
+            sum(r.iterations for r in result.subqueries.values())
         )
         metrics.counter("subquery.batches").inc(
-            sum(result.subquery_batches.values())
+            sum(r.batches for r in result.subqueries.values())
         )
         decision = prepared.fusion_decision
         if decision.source != "off":

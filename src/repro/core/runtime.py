@@ -10,6 +10,7 @@ memory-pool marks, and the per-node timing used by the cost model.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,59 @@ from .subquery import (
     ScalarResultVector,
     TwoLevelResultVector,
 )
+
+
+@dataclass(slots=True)
+class NodeRecord:
+    """What one plan node did over a query run, on the modelled clock.
+
+    ``node_id`` is the node's index in the program's registry.  ``ns``
+    and ``launches`` are what the device was charged while the node's
+    operator ran (its inputs are computed before the call, so this is
+    the node's exclusive cost), summed over ``calls``.  ``rows`` sums
+    the output rows and stays None for a node whose operator never
+    returned a relation.
+    """
+
+    node_id: int
+    ns: float = 0.0
+    calls: int = 0
+    launches: int = 0
+    rows: int | None = None
+
+    def add(self, other: "NodeRecord") -> None:
+        """Fold another run of the same node (another shard) in."""
+        self.ns += other.ns
+        self.calls += other.calls
+        self.launches += other.launches
+        if other.rows is not None:
+            self.rows = (self.rows or 0) + other.rows
+
+
+@dataclass(slots=True)
+class SubqueryRecord:
+    """What one SUBQ did over a query run.
+
+    ``iterations`` counts outer tuples evaluated (one per loop
+    iteration, ``hi - lo`` per vectorized batch), ``overhead_ns`` the
+    modelled ns spent outside operators on the subquery's behalf
+    (invariant hoisting, parameter transfer, uncorrelated evaluation)
+    and the cache figures come from its :class:`SubqueryCache`.
+    """
+
+    iterations: int = 0
+    batches: int = 0
+    overhead_ns: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+    def add(self, other: "SubqueryRecord") -> None:
+        """Fold another run of the same SUBQ (another shard) in."""
+        self.iterations += other.iterations
+        self.batches += other.batches
+        self.overhead_ns += other.overhead_ns
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
 
 
 class SubqueryProgram:
@@ -187,16 +241,11 @@ class Runtime:
         self.tracer = ctx.tracer
         self.nodes = nodes
         self.subprograms = subqueries
-        self.node_times_ns: dict[int, float] = {}
-        self.node_output_rows: dict[int, int] = {}
-        self.node_calls: dict[int, int] = {}
-        self.node_launches: dict[int, int] = {}
-        # per-subquery loop accounting, keyed by descriptor.index
-        self.subquery_iterations: dict[int, int] = {}
-        self.subquery_batches: dict[int, int] = {}
-        # modelled ns spent outside operators on behalf of a subquery:
-        # invariant hoisting, parameter transfer, uncorrelated eval
-        self.subquery_overhead_ns: dict[int, float] = {}
+        # one record per plan node whose operator ran, keyed by
+        # registry index in the order the nodes first completed
+        self.node_records: dict[int, NodeRecord] = {}
+        # one record per subquery, keyed by descriptor.index
+        self.subquery_records: dict[int, SubqueryRecord] = {}
         self.fetch_ns = 0.0
         # mid-query adaptivity: set by the executor when the prepared
         # query carries an unnested fallback; the SUBQ loops report
@@ -220,30 +269,39 @@ class Runtime:
         try:
             result = fn()
         finally:
-            self.node_times_ns[node_id] = (
-                self.node_times_ns.get(node_id, 0.0)
-                + stats.total_ns - before_ns
-            )
-            self.node_calls[node_id] = self.node_calls.get(node_id, 0) + 1
-            self.node_launches[node_id] = (
-                self.node_launches.get(node_id, 0)
-                + stats.kernel_launches - before_launches
-            )
+            record = self.node_records.get(node_id)
+            if record is None:
+                record = self.node_records[node_id] = NodeRecord(node_id)
+            record.ns = record.ns + stats.total_ns - before_ns
+            record.calls += 1
+            record.launches += stats.kernel_launches - before_launches
             if span is not None:
                 tracer.end(span)
         if isinstance(result, Relation):
-            self.node_output_rows[node_id] = (
-                self.node_output_rows.get(node_id, 0) + result.num_rows
-            )
+            record.rows = (record.rows or 0) + result.num_rows
             if span is not None:
                 span.set_attrs(rows=result.num_rows)
         return result
 
-    def _add_overhead(self, sp: SubqueryProgram, before_ns: float) -> None:
+    def _subquery_record(self, sp: SubqueryProgram) -> SubqueryRecord:
         key = sp.descriptor.index
-        self.subquery_overhead_ns[key] = (
-            self.subquery_overhead_ns.get(key, 0.0)
-            + self.ctx.device.stats.total_ns - before_ns
+        record = self.subquery_records.get(key)
+        if record is None:
+            record = self.subquery_records[key] = SubqueryRecord()
+        return record
+
+    def subquery_accounting(self) -> dict[int, SubqueryRecord]:
+        """Every subquery's record, with its cache figures filled in."""
+        for sp in self.subprograms:
+            record = self._subquery_record(sp)
+            record.cache_hits = sp.cache.hits
+            record.cache_misses = sp.cache.misses
+        return self.subquery_records
+
+    def _add_overhead(self, sp: SubqueryProgram, before_ns: float) -> None:
+        record = self._subquery_record(sp)
+        record.overhead_ns = (
+            record.overhead_ns + self.ctx.device.stats.total_ns - before_ns
         )
 
     # -- flat operators (outer plan) ---------------------------------------
@@ -471,7 +529,7 @@ class Runtime:
             # the next so a switch never splits an iteration
             self.governor.iteration_done(sp, i)
         key = sp.descriptor.index
-        self.subquery_iterations[key] = self.subquery_iterations.get(key, 0) + 1
+        self._subquery_record(sp).iterations += 1
         tracer = self.tracer
         if tracer.enabled:
             # closed by the store_* that finishes this iteration
@@ -705,10 +763,9 @@ class Runtime:
     ) -> None:
         """One fused batch: cache probe, dedupe, segmented evaluation."""
         key = sp.descriptor.index
-        self.subquery_batches[key] = self.subquery_batches.get(key, 0) + 1
-        self.subquery_iterations[key] = (
-            self.subquery_iterations.get(key, 0) + (hi - lo)
-        )
+        record = self._subquery_record(sp)
+        record.batches += 1
+        record.iterations += hi - lo
         tracer = self.tracer
         span = None
         if tracer.enabled:

@@ -93,7 +93,7 @@ from .codegen import DriveProgram, generate_drive_program
 from .fusion import FusionPlan
 from .costmodel import _kernel_ns, gather_cost_ns, repartition_cost_ns
 from .executor import NestGPU, PreparedQuery, QueryResult, preload_columns
-from .runtime import Runtime, SubqueryProgram
+from .runtime import NodeRecord, Runtime, SubqueryProgram, SubqueryRecord
 from .vectorize import _equality_correlation
 
 #: Node types the coordinator tail may contain (root chain only).
@@ -1025,22 +1025,14 @@ class ShardedEngine:
             )
         ]
         merged = self.group.merged_stats()
-        cache_hits = sum(
-            sp.cache.hits for rt in runtimes for sp in rt.subprograms
-        )
-        cache_misses = sum(
-            sp.cache.misses for rt in runtimes for sp in rt.subprograms
-        )
-        subquery_cache: dict[int, tuple[int, int]] = {}
+        # fold every shard's per-node and per-subquery records
+        nodes: dict[int, NodeRecord] = {}
+        subqueries: dict[int, SubqueryRecord] = {}
         for rt in runtimes:
-            for sp in rt.subprograms:
-                hits, misses = subquery_cache.get(
-                    sp.descriptor.index, (0, 0)
-                )
-                subquery_cache[sp.descriptor.index] = (
-                    hits + sp.cache.hits,
-                    misses + sp.cache.misses,
-                )
+            for node_id, record in rt.node_records.items():
+                nodes.setdefault(node_id, NodeRecord(node_id)).add(record)
+            for key, record in rt.subquery_accounting().items():
+                subqueries.setdefault(key, SubqueryRecord()).add(record)
         result = QueryResult(
             rows=rows,
             column_names=list(final.columns),
@@ -1050,24 +1042,10 @@ class ShardedEngine:
                 f"{prepared.choice}"
             ),
             drive_source=program.source,
-            node_times_ns=_sum_dicts(rt.node_times_ns for rt in runtimes),
-            node_output_rows=_sum_dicts(
-                rt.node_output_rows for rt in runtimes
-            ),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            node_calls=_sum_dicts(rt.node_calls for rt in runtimes),
-            node_launches=_sum_dicts(rt.node_launches for rt in runtimes),
-            subquery_iterations=_sum_dicts(
-                rt.subquery_iterations for rt in runtimes
-            ),
-            subquery_batches=_sum_dicts(
-                rt.subquery_batches for rt in runtimes
-            ),
-            subquery_overhead_ns=_sum_dicts(
-                rt.subquery_overhead_ns for rt in runtimes
-            ),
-            subquery_cache=subquery_cache,
+            nodes=list(nodes.values()),
+            subqueries=subqueries,
+            cache_hits=sum(r.cache_hits for r in subqueries.values()),
+            cache_misses=sum(r.cache_misses for r in subqueries.values()),
             fetch_ns=fetch_ns,
             shards=self.shards,
             makespan_ns=makespan,
@@ -1189,10 +1167,3 @@ class ShardedEngine:
             raw_mallocs=result.stats.malloc_calls,
         )
 
-
-def _sum_dicts(dicts) -> dict:
-    out: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            out[key] = out.get(key, 0) + value
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,13 +166,15 @@ def prefix_sum(device: Device, mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def compact(device: Device, mask: np.ndarray) -> np.ndarray:
-    """Indices of set positions (prefix-sum + scatter of a 0/1 vector)."""
-    mask = mask.astype(bool)
-    positions, total = prefix_sum(device, mask)
+    """Indices of set positions (prefix-sum + scatter of a 0/1 vector).
+
+    The device is charged for the prefix sum and the scatter; numpy
+    produces the scattered indices directly.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    prefix_sum(device, mask)
     device.launch("scatter", len(mask))
-    out = np.empty(total, dtype=np.int64)
-    out[positions[mask]] = np.nonzero(mask)[0]
-    return out
+    return np.flatnonzero(mask)
 
 
 def gather(device: Device, data: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -263,16 +265,64 @@ def segmented_any(
 # ---------------------------------------------------------------------------
 
 
+#: Direct addressing replaces binary search when the build keys are
+#: integers whose span (max - min + 1) is at most this many times the
+#: build size plus the probe size: building and scanning the lookup
+#: table then costs no more than a few passes over the inputs.
+_DENSE_SPAN_FACTOR = 4
+#: Keys must lie inside +-2**62 so that ``probe - min`` in wrapping
+#: int64 arithmetic lands in ``[0, span)`` exactly for the true matches.
+_DENSE_KEY_LIMIT = 1 << 62
+
+
+def _integral(build_keys: np.ndarray, probe_keys: np.ndarray) -> bool:
+    """Whether probe and build keys compare exactly, as integers.
+
+    Both must be integer arrays whose common type stays integral: int64
+    against uint64 promotes to float64, where binary search compares
+    rounded values, so such input keeps the general search path.
+    """
+    return (
+        build_keys.dtype.kind in "iu"
+        and probe_keys.dtype.kind in "iu"
+        and np.result_type(build_keys, probe_keys).kind in "iu"
+    )
+
+
+def _dense_ok(build_keys: np.ndarray, probe_keys: np.ndarray) -> bool:
+    """The fixed density rule: may ``probe_keys`` be looked up by
+    direct addressing into a table over ``build_keys`` (sorted)?
+    Both must already pass :func:`_integral`."""
+    n = len(build_keys)
+    if not n:
+        return False
+    low, high = int(build_keys[0]), int(build_keys[-1])
+    if low < -_DENSE_KEY_LIMIT or high >= _DENSE_KEY_LIMIT:
+        return False
+    return high - low + 1 <= _DENSE_SPAN_FACTOR * (n + len(probe_keys))
+
+
 @dataclass
 class JoinHash:
     """A build-side 'hash table'.
 
     Internally a sorted copy of the keys plus the sort permutation; the
     device is charged hash-build cost (``Ht`` per element, Eq. 2).
+
+    Dense integer keys additionally get a host-side direct-address
+    table, built on the first probe that qualifies (:func:`_dense_ok`)
+    and used for every later probe of this table — a hoisted invariant
+    table builds it once.  It only speeds up the numpy emulation: it is
+    not part of :attr:`nbytes` and no kernel is charged for it.
     """
 
     keys_sorted: np.ndarray
     order: np.ndarray
+    # direct-address table: (min key, first sorted position per key
+    # offset, match count per key offset); both arrays end in one
+    # no-match entry that out-of-range probes are clipped onto
+    _direct: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _unique: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.keys_sorted)
@@ -280,6 +330,53 @@ class JoinHash:
     @property
     def nbytes(self) -> int:
         return self.keys_sorted.nbytes + self.order.nbytes
+
+    @property
+    def unique(self) -> bool:
+        """Whether no build key repeats.  An integral probe
+        (:func:`_integral`) then matches at most one build row."""
+        if self._unique is None:
+            keys = self.keys_sorted
+            self._unique = not (keys[1:] == keys[:-1]).any()
+        return self._unique
+
+    def _slots(self, probe_keys: np.ndarray) -> np.ndarray | None:
+        """Direct-address slot of every probe key, or None when the
+        table takes the binary-search path for these keys."""
+        # checked on every probe, not only the one that builds the
+        # table: a float or uint64 probe of a cached int64 table would
+        # otherwise be truncated or wrapped onto a build key
+        if not _integral(self.keys_sorted, probe_keys):
+            return None
+        if self._direct is None:
+            if not _dense_ok(self.keys_sorted, probe_keys):
+                return None
+            keys = self.keys_sorted
+            low = int(keys[0])
+            span = int(keys[-1]) - low + 1
+            counts = np.zeros(span + 1, dtype=np.int64)
+            counts[:span] = np.bincount(keys.astype(np.int64) - low, minlength=span)
+            self._direct = (low, np.cumsum(counts) - counts, counts)
+        low, _, counts = self._direct
+        # wrapping int64 offsets read as unsigned: one clip sends keys
+        # on either side of the range to the trailing no-match entry
+        slots = np.subtract(probe_keys, low, dtype=np.int64, casting="unsafe")
+        unsigned = slots.view(np.uint64)
+        np.minimum(unsigned, np.uint64(len(counts) - 1), out=unsigned)
+        return slots
+
+    def lookup(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per probe key: (first matching sorted position, match count).
+
+        The position is meaningful only where the count is non-zero.
+        """
+        slots = self._slots(probe_keys)
+        if slots is None:
+            lo = np.searchsorted(self.keys_sorted, probe_keys, side="left")
+            hi = np.searchsorted(self.keys_sorted, probe_keys, side="right")
+            return lo, hi - lo
+        _, first, counts = self._direct
+        return first[slots], counts[slots]
 
 
 def hash_build(device: Device, keys: np.ndarray) -> JoinHash:
@@ -292,11 +389,20 @@ def hash_build(device: Device, keys: np.ndarray) -> JoinHash:
 def hash_probe(
     device: Device, table: JoinHash, probe_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe -> aligned (probe_indices, build_indices) of every match."""
+    """Probe -> aligned (probe_indices, build_indices) of every match.
+
+    Matches come in probe order, and within one probe key in sorted
+    build order.
+    """
     device.launch("hash_probe", len(probe_keys), work=2.0)
-    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
-    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
-    counts = hi - lo
+    if not len(table):
+        device.launch("join_expand", 0)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lo, counts = table.lookup(probe_keys)
+    if table.unique and _integral(table.keys_sorted, probe_keys):
+        probe_idx = np.flatnonzero(counts)
+        device.launch("join_expand", len(probe_idx))
+        return probe_idx, table.order[lo[probe_idx]]
     total = int(counts.sum())
     device.launch("join_expand", total)
     probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
@@ -309,9 +415,9 @@ def hash_probe(
 def semi_probe(device: Device, table: JoinHash, probe_keys: np.ndarray) -> np.ndarray:
     """EXISTS probe -> mask over probe side (the paper's Q4 semi-join)."""
     device.launch("semi_probe", len(probe_keys), work=2.0)
-    lo = np.searchsorted(table.keys_sorted, probe_keys, side="left")
-    hi = np.searchsorted(table.keys_sorted, probe_keys, side="right")
-    return hi > lo
+    if not len(table):
+        return np.zeros(len(probe_keys), dtype=bool)
+    return table.lookup(probe_keys)[1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 _LEVEL_FIELDS = frozenset({"peak_device_bytes"})
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionStats:
     """Counters and modelled time for one span of device activity.
 

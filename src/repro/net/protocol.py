@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import sys
 from enum import IntEnum
 
 from ..errors import ReproError
@@ -228,6 +229,10 @@ def encode_value(value):
 
 
 def decode_value(value):
+    if isinstance(value, str):
+        # equal strings recur across rows and replies (names, flags,
+        # repeated statements): keep one shared object per value
+        return sys.intern(value)
     if isinstance(value, dict) and "__date__" in value:
         return datetime.date.fromisoformat(value["__date__"])
     return value

@@ -47,7 +47,7 @@ class AnalyzeReport:
         self.prepared = prepared
         self.result = result
         self.tracer = tracer
-        # node identity -> registry index (the key of node_times_ns)
+        # node identity -> registry index (NodeRecord.node_id)
         self._node_ids = {
             id(node): i for i, node in enumerate(prepared.program.nodes)
         }
@@ -58,19 +58,26 @@ class AnalyzeReport:
         """Total modelled ns attributed to one plan node, merging the
         loop-path registry times with the vectorized-path profile."""
         r = self.result
-        ns = r.node_times_ns.get(self._node_ids.get(id(node), -1), 0.0)
+        record = self._record(node)
+        ns = record.ns if record is not None else 0.0
         ns += r.vector_node_ns.get(id(node), 0.0)
         return ns
+
+    def _record(self, node):
+        """The node's NodeRecord, or None when its operator never ran
+        through the registry (vectorized-path nodes)."""
+        nid = self._node_ids.get(id(node))
+        return None if nid is None else self.result.node(nid)
 
     def accounting(self) -> dict[str, float]:
         """Where the modelled time went, in ns.  The buckets are
         disjoint by construction and ``unattributed`` closes the sum to
         ``stats.total_ns`` exactly."""
         r = self.result
-        operators = sum(r.node_times_ns.values()) + sum(
+        operators = sum(record.ns for record in r.nodes) + sum(
             r.vector_node_ns.values()
         )
-        overhead = sum(r.subquery_overhead_ns.values())
+        overhead = sum(sq.overhead_ns for sq in r.subqueries.values())
         total = r.stats.total_ns
         attributed = r.preload_ns + operators + overhead + r.fetch_ns
         return {
@@ -85,16 +92,15 @@ class AnalyzeReport:
     # -- rendering ----------------------------------------------------------
 
     def _annotate(self, node, extra: str = "") -> str:
-        r = self.result
-        nid = self._node_ids.get(id(node))
+        record = self._record(node)
         parts = [f"actual={_ms(self.node_ns(node))}"]
-        if nid is not None:
-            if nid in r.node_output_rows:
-                parts.append(f"rows={r.node_output_rows[nid]}")
-            if r.node_calls.get(nid, 0) > 1:
-                parts.append(f"calls={r.node_calls[nid]}")
-            if r.node_launches.get(nid):
-                parts.append(f"launches={r.node_launches[nid]}")
+        if record is not None:
+            if record.rows is not None:
+                parts.append(f"rows={record.rows}")
+            if record.calls > 1:
+                parts.append(f"calls={record.calls}")
+            if record.launches:
+                parts.append(f"launches={record.launches}")
         if extra:
             parts.append(extra)
         return "  (" + ", ".join(parts) + ")"
@@ -119,6 +125,7 @@ class AnalyzeReport:
         return lines
 
     def render(self) -> str:
+        from ..core.runtime import SubqueryRecord
         from ..plan.invariants import mark_invariants
 
         p, r = self.prepared, self.result
@@ -156,21 +163,17 @@ class AnalyzeReport:
                 if descriptor.free_quals else ""
             )
             lines += ["", f"subquery #{k} ({descriptor.kind}{corr}):"]
-            iters = r.subquery_iterations.get(key, 0)
-            batches = r.subquery_batches.get(key, 0)
-            hits, misses = r.subquery_cache.get(key, (0, 0))
-            stat_parts = [f"iterations={iters}"]
-            if batches:
-                stat_parts.append(f"vectorized batches={batches}")
-            if hits or misses:
-                total = hits + misses
+            sq = r.subqueries.get(key) or SubqueryRecord()
+            stat_parts = [f"iterations={sq.iterations}"]
+            if sq.batches:
+                stat_parts.append(f"vectorized batches={sq.batches}")
+            hits, total = sq.cache_hits, sq.cache_hits + sq.cache_misses
+            if total:
                 stat_parts.append(
                     f"cache hits={hits}/{total}"
                     f" ({hits / total:.0%})"
                 )
-            stat_parts.append(
-                "setup " + _ms(r.subquery_overhead_ns.get(key, 0.0))
-            )
+            stat_parts.append("setup " + _ms(sq.overhead_ns))
             lines.append("  " + "   ".join(stat_parts))
             lines += self._tree_lines(spec.plan, mark_invariants(spec.plan))
         acc = self.accounting()

@@ -785,7 +785,24 @@ class AsyncEngine:
             raise
 
     def submit_all(self, statements) -> list[QueryTicket]:
-        return [self.submit(sql) for sql in statements]
+        """Enqueue every statement in order, waiting out backpressure.
+
+        A statement the full queue rejects is resubmitted after sleeping
+        the ``retry_after_s`` the rejection carried.  With the workers
+        not started nothing drains the queue, so there the
+        :class:`BackpressureError` is raised.
+        """
+        tickets = []
+        for sql in statements:
+            while True:
+                try:
+                    tickets.append(self.submit(sql))
+                    break
+                except BackpressureError as exc:
+                    if not self._started:
+                        raise
+                    time.sleep(exc.retry_after_s)
+        return tickets
 
     def _retry_after_locked(self) -> float:
         # `is None` — a genuine measured EMA of 0.0 (sub-resolution

@@ -301,9 +301,11 @@ def serve_main(argv: list[str] | None = None) -> int:
             from .concurrent import AsyncEngine
 
             engine = AsyncEngine(session, workers=args.concurrency)
-            engine.submit_all(statements)
-            drained = engine.drain(timeout=args.timeout)
-            engine.shutdown(drain=False, timeout=10.0)
+            try:
+                engine.submit_all(statements)
+                drained = engine.drain(timeout=args.timeout)
+            finally:
+                engine.shutdown(drain=False, timeout=10.0)
             if not drained:
                 return None
             return engine.report()

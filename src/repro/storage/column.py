@@ -9,6 +9,7 @@ arrays only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,11 +22,9 @@ class Dictionary:
     """A sorted, immutable string dictionary shared by string columns."""
 
     def __init__(self, values: Sequence[str]):
-        ordered = sorted(set(values))
-        self._values = ordered
-        self._index = {v: i for i, v in enumerate(ordered)}
-        # numpy array view used by vectorised LIKE evaluation
-        self._array = np.array(ordered, dtype=object)
+        # codes are positions in the sorted values; lookups bisect, so
+        # no value -> code map is kept alive beside the column
+        self._values = sorted(set(values))
 
     def __len__(self) -> int:
         return len(self._values)
@@ -38,7 +37,10 @@ class Dictionary:
 
     def code_of(self, value: str) -> int | None:
         """Return the code for ``value`` or None if absent."""
-        return self._index.get(value)
+        code = bisect_left(self._values, value)
+        if code < len(self._values) and self._values[code] == value:
+            return code
+        return None
 
     def encode(self, values: Iterable[str]) -> np.ndarray:
         """Encode an iterable of strings into int32 codes.
@@ -46,10 +48,9 @@ class Dictionary:
         Raises:
             ReproError: if a value is not present in the dictionary.
         """
+        index = {v: i for i, v in enumerate(self._values)}
         try:
-            return np.fromiter(
-                (self._index[v] for v in values), dtype=np.int32
-            )
+            return np.fromiter((index[v] for v in values), dtype=np.int32)
         except KeyError as exc:  # pragma: no cover - defensive
             raise ReproError(f"value {exc} not in dictionary") from exc
 
@@ -125,18 +126,12 @@ class Column:
         """
         if self.dtype.is_string:
             assert self.dictionary is not None
-            code = self.dictionary.code_of(value)
-            if code is not None:
+            dictionary = self.dictionary
+            code = bisect_left(dictionary, value)
+            if code < len(dictionary) and dictionary[code] == value:
                 return code
             # absent string: place it in sort order among codes
-            lo, hi = 0, len(self.dictionary)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.dictionary[mid] < value:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo - 0.5  # falls strictly between neighbouring codes
+            return code - 0.5  # falls strictly between neighbouring codes
         if self.dtype.name == "date" and isinstance(value, str):
             return date_to_int(value)
         return value

@@ -83,3 +83,28 @@ class TestRunSweep:
     def test_figure_entry_point_smoke(self):
         sweep = figure11_q5(scale_factors=(0.25,))
         assert sweep.cell("NestGPU", 0.25).ran
+
+
+class TestRunThroughputBackpressure:
+    def test_concurrent_run_waits_out_a_full_queue(self):
+        """100 statements overflow the AsyncEngine's 64-slot queue: the
+        harness must honour ``retry_after_s`` instead of crashing, and
+        leave no worker thread behind."""
+        import threading
+
+        from repro.bench import run_throughput
+        from repro.serve import paper_mix_statements
+
+        mix = paper_mix_statements()
+        statements = (mix * (100 // len(mix) + 1))[:100]
+        sweep = run_throughput(
+            [0.01], streams_list=(2,), statements=statements, concurrent=True,
+        )
+        (cell,) = sweep.measurements
+        assert cell.ran
+        assert cell.rows == 100
+        assert "wall_ms" in cell.extra
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-worker-") and t.is_alive()
+        ]

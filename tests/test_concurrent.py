@@ -199,6 +199,31 @@ class TestLifecycle:
             assert engine.drain(timeout=DRAIN_TIMEOUT)
             engine.shutdown(drain=False, timeout=10.0)
 
+    def test_submit_all_waits_out_backpressure(self, catalog):
+        statements = paper_mix_statements()
+        with EngineSession(catalog) as session:
+            engine = AsyncEngine(session, workers=1, queue_capacity=2)
+            try:
+                tickets = engine.submit_all(statements)
+                assert [t.sql for t in tickets] == statements
+                assert engine.drain(timeout=DRAIN_TIMEOUT)
+            finally:
+                engine.shutdown(drain=False, timeout=10.0)
+            assert all(t.status == "done" for t in tickets)
+
+    def test_submit_all_raises_backpressure_without_workers(self, catalog):
+        """Nothing drains an unstarted engine's queue: waiting would
+        never end, so the rejection reaches the caller."""
+        with EngineSession(catalog) as session:
+            engine = AsyncEngine(
+                session, workers=1, queue_capacity=2, autostart=False,
+            )
+            try:
+                with pytest.raises(BackpressureError):
+                    engine.submit_all(paper_mix_statements()[:3])
+            finally:
+                engine.shutdown(drain=False, timeout=10.0)
+
     def test_retry_after_honours_measured_zero_ema(self, catalog):
         """Regression: ``retry_after`` used a falsy check on the service
         EMA, so a genuine measured 0.0 (services faster than the clock
